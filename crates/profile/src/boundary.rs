@@ -32,6 +32,8 @@ struct Target {
 pub struct BoundaryValueProfiler {
     lp: Option<LoopRef>,
     targets: Vec<Target>,
+    /// Scratch buffer each sample is read into.
+    buf: Vec<u8>,
 }
 
 /// The profiler's verdict for one location.
@@ -66,6 +68,7 @@ impl BoundaryValueProfiler {
                     samples: 0,
                 })
                 .collect(),
+            buf: Vec::new(),
         }
     }
 
@@ -111,11 +114,11 @@ impl Hooks for BoundaryValueProfiler {
             if !t.stable {
                 continue;
             }
-            let mut buf = vec![0u8; t.size as usize];
-            mem.read_bytes(t.addr, &mut buf);
+            self.buf.resize(t.size as usize, 0);
+            mem.read_bytes(t.addr, &mut self.buf);
             match &t.observed {
-                None => t.observed = Some(buf),
-                Some(prev) if *prev == buf => {}
+                None => t.observed = Some(self.buf.clone()),
+                Some(prev) if *prev == self.buf => {}
                 Some(_) => t.stable = false,
             }
             t.samples += 1;

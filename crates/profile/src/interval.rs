@@ -83,19 +83,19 @@ impl<V> IntervalMap<V> {
         self.query(addr).map(|(_, _, v)| v)
     }
 
-    /// All distinct entries intersecting `[start, end)`.
-    pub fn query_range(&self, start: u64, end: u64) -> Vec<(u64, u64, &V)> {
-        let mut out = Vec::new();
-        // The entry starting at or before `start` may cover into the range.
-        if let Some(hit) = self.query(start) {
-            out.push(hit);
-        }
-        for (&s, (e, v)) in self.map.range(start..end) {
-            if out.last().map(|&(ps, _, _)| ps) != Some(s) {
-                out.push((s, *e, v));
-            }
-        }
-        out
+    /// All entries intersecting `[start, end)`, in address order, without
+    /// allocating.
+    pub fn query_range(&self, start: u64, end: u64) -> impl Iterator<Item = (u64, u64, &V)> {
+        // Only the last entry starting before `start` can reach into the
+        // range: entries are disjoint.
+        let head = self
+            .map
+            .range(..start)
+            .next_back()
+            .filter(|(_, (e, _))| *e > start);
+        head.into_iter()
+            .chain(self.map.range(start..end))
+            .map(|(&s, (e, v))| (s, *e, v))
     }
 
     /// Iterate over all `(start, end, &value)` entries in address order.
@@ -156,17 +156,9 @@ mod tests {
         m.insert(0, 10, "a");
         m.insert(10, 20, "b");
         m.insert(30, 40, "c");
-        let hits: Vec<&str> = m
-            .query_range(5, 35)
-            .into_iter()
-            .map(|(_, _, v)| *v)
-            .collect();
+        let hits: Vec<&str> = m.query_range(5, 35).map(|(_, _, v)| *v).collect();
         assert_eq!(hits, vec!["a", "b", "c"]);
-        let hits: Vec<&str> = m
-            .query_range(10, 11)
-            .into_iter()
-            .map(|(_, _, v)| *v)
-            .collect();
+        let hits: Vec<&str> = m.query_range(10, 11).map(|(_, _, v)| *v).collect();
         assert_eq!(hits, vec!["b"]);
     }
 

@@ -23,6 +23,8 @@
 pub mod boundary;
 pub mod interval;
 pub mod names;
+#[doc(hidden)]
+pub mod reference;
 pub mod suite;
 
 pub use boundary::{BoundaryValueProfiler, PredictedValue};
